@@ -4,8 +4,8 @@
 //! compile-vs-parse pipeline costs the chunk cache amortizes.
 //!
 //! These isolate the raw dispatch win. The survey-level picture (where
-//! parse/compile time dominates scratch crawls and the chunk cache carries
-//! most of the speedup) lives in `crawl_bench` / `BENCH_crawl.json`.
+//! script-cache lookup and parse dominate a page load) is `perfbench`'s
+//! `heavy-scripts` workload.
 
 use bfu_script::{compile, parser, run_chunk, Interpreter, ResourceBudget};
 use criterion::{criterion_group, criterion_main, Criterion};

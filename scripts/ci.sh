@@ -9,11 +9,16 @@
 # bfu-browser, bfu-store, bfu-objstore, and bfu-fabric (a panic in any of
 # them takes a whole survey — or its only on-disk copy — down).
 #
-# Set BFU_TORTURE_FULL=1 for the exhaustive crash-point sweep (every backend
-# op, both in-test and via the standalone store_torture binary) instead of
-# the bounded default.
+# Set BFU_TORTURE_FULL=1 for the exhaustive sweeps (every backend op, fabric
+# step, wire exchange and replica op) instead of the bounded default; the
+# store, object-store and fabric torture suites then run in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+TORTURE_PROFILE=()
+if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
+    TORTURE_PROFILE=(--release)
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -32,15 +37,9 @@ cargo test -q --test chaos
 
 echo "==> store crash-consistency torture (bounded; BFU_TORTURE_FULL=1 = exhaustive)"
 # The integration suite bounds its sweep to a fixed budget of crash points
-# unless BFU_TORTURE_FULL is set, in which case it kills the store at every
-# single backend op — and the standalone binary re-proves the exhaustive
-# sweep end to end in release mode.
-cargo test -q --test store_torture
-if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
-    TORTURE_OUT=$(mktemp)
-    cargo run -q --release -p bfu-bench --bin store_torture -- --out "$TORTURE_OUT"
-    rm -f "$TORTURE_OUT"
-fi
+# unless BFU_TORTURE_FULL=1, in which case it kills the store at every
+# single backend op.
+cargo test -q "${TORTURE_PROFILE[@]}" --test store_torture
 
 echo "==> fabric crash-mid-lease + partition + network + replica torture (bounded; BFU_TORTURE_FULL=1 = exhaustive)"
 # Kill the survey fabric at every worker/coordinator step AND partition the
@@ -52,14 +51,9 @@ echo "==> fabric crash-mid-lease + partition + network + replica torture (bounde
 # of its ops, partitioned for every window, killed together with a worker,
 # rejoining empty and caught up by anti-entropy, the CAS primary dead from
 # the start — proving every schedule recovers to the single-process
-# fingerprint; the standalone binary re-proves the exhaustive kill,
-# partition, and kill×partition sweeps in release.
-cargo test -q --test fabric_torture
-if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
-    TORTURE_OUT=$(mktemp)
-    cargo run -q --release -p bfu-bench --bin fabric_torture -- --out "$TORTURE_OUT"
-    rm -f "$TORTURE_OUT"
-fi
+# fingerprint. A multi-worker grid (1/2/4 workers over the POSIX,
+# whole-object, remote and replicated backends) must match it too.
+cargo test -q "${TORTURE_PROFILE[@]}" --test fabric_torture
 
 echo "==> object-store torture (crash sweep, publish windows, listing order, replica quorums)"
 # The whole-object backend: every-op crash sweep with process-restart
@@ -70,7 +64,7 @@ echo "==> object-store torture (crash sweep, publish windows, listing order, rep
 # error surfacing, stale R=1 reads caught by visibility retries and healed
 # by scrub, and a replayed mutation past the server's replay window
 # refused typed instead of silently re-executed.
-cargo test -q --test objstore_torture
+cargo test -q "${TORTURE_PROFILE[@]}" --test objstore_torture
 
 echo "==> cross-process fabric (real worker processes; DirObjectStore + real TCP)"
 # Two real OS worker processes coordinating only through the object store
@@ -86,47 +80,10 @@ echo "==> no-panic property tests + engine differential (tree-walk vs VM)"
 # proptests include the engine differential suite: random token soup and
 # mutated programs must produce identical outcomes, fuel, heap, and string
 # accounting under the tree-walk oracle and the bytecode VM, and whole
-# random crawls must fingerprint identically engine to engine. The chaos
-# suite above extends the same gate to a 200-site hostile web.
+# random crawls must fingerprint identically across the engine x cache grid
+# with every cached cell's cache live. The chaos suite above extends the
+# engine gate to a 200-site hostile web.
 cargo test -q --test proptests
-
-echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
-# Small scale: correctness gate, not a performance measurement. crawl_bench
-# itself errors if any engine x cache cell diverges from the warmup
-# fingerprint, if a cached run reports the cache disabled, or if the VM run
-# never compiled a chunk; the jq-less greps below additionally pin the grid
-# columns and a real hit rate so a silently dead cache — AST or chunk
-# family — or a dropped engine dimension cannot pass.
-CI_BENCH_OUT=$(mktemp)
-cargo run -q --release -p bfu-bench --bin crawl_bench -- \
-    --sites 10 --rounds 2 --script-weight 25 --out "$CI_BENCH_OUT"
-grep -q '"fingerprints_match": true' "$CI_BENCH_OUT"
-grep -q '"treewalk": {' "$CI_BENCH_OUT"
-grep -q '"vm": {' "$CI_BENCH_OUT"
-grep -q '"vm_speedup"' "$CI_BENCH_OUT"
-grep -q '"hits": 0,' "$CI_BENCH_OUT" && { echo "compile cache saw zero hits"; exit 1; }
-grep -q '"chunk_hits": 0,' "$CI_BENCH_OUT" && { echo "chunk cache saw zero hits"; exit 1; }
-rm -f "$CI_BENCH_OUT"
-
-echo "==> fabric_bench smoke (workers × backend fingerprints identical to single-process)"
-# Small scale: the gate is the fingerprint cross-check, not throughput.
-# fabric_bench exits non-zero itself on divergence; the greps pin the flag
-# and the presence of both backend columns in the emitted JSON so a
-# silently skipped check or a dropped grid dimension cannot pass.
-CI_FABRIC_OUT=$(mktemp)
-cargo run -q --release -p bfu-bench --bin fabric_bench -- \
-    --sites 12 --per-lease 2 --out "$CI_FABRIC_OUT"
-grep -q '"fingerprints_match": true' "$CI_FABRIC_OUT"
-grep -q '"backend": "objstore"' "$CI_FABRIC_OUT"
-grep -q '"backend": "posix"' "$CI_FABRIC_OUT"
-grep -q '"backend": "remote"' "$CI_FABRIC_OUT"
-grep -q '"backend": "replicated"' "$CI_FABRIC_OUT"
-# The replicated column must show real quorum effort, not a dead front:
-# some row carries 3 replicas with non-zero quorum write and read counts.
-grep -q '"replicas": 3' "$CI_FABRIC_OUT"
-grep -qE '"replica_quorum_writes": [1-9]' "$CI_FABRIC_OUT"
-grep -qE '"replica_quorum_reads": [1-9]' "$CI_FABRIC_OUT"
-rm -f "$CI_FABRIC_OUT"
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -15,9 +15,10 @@
 //! zombie-publish replay baked into every sim (a publish orphaned by a
 //! kill is replayed after the table drains and must be fenced).
 //!
-//! Default is a bounded deterministic subset (CI-fast); set
-//! `BFU_TORTURE_FULL=1` to sweep every step. The `fabric_torture` binary
-//! in `bfu-bench` runs the full sweep standalone with progress output.
+//! Default is a bounded deterministic subset (CI-fast); for every step,
+//! run `BFU_TORTURE_FULL=1 cargo test --release --test fabric_torture`.
+
+mod common;
 
 use bfu_crawler::{CrawlConfig, Survey};
 use bfu_fabric::{
@@ -28,6 +29,7 @@ use bfu_store::{
     load_survey_dataset_on, FaultFs, LoadOutcome, StorageBackend, StoreFaultPlan, PROVENANCE_NAME,
 };
 use bfu_webgen::{SyntheticWeb, WebConfig};
+use common::sweep_points;
 use std::sync::{Arc, OnceLock};
 
 const SITES: usize = 8;
@@ -98,23 +100,6 @@ fn sim_with(survey: &Survey, plan: &FabricFaultPlan) -> Result<SimOutcome, Fabri
     run_sim(survey, backend, &torture_config(), plan)
 }
 
-/// The kill points to sweep: every step under `BFU_TORTURE_FULL=1` (or
-/// when the schedule is small), a deterministic stride subset otherwise.
-fn sweep_points(total: u64) -> Vec<u64> {
-    const BUDGET: u64 = 48;
-    let full = std::env::var("BFU_TORTURE_FULL").is_ok_and(|v| v == "1");
-    if full || total <= BUDGET {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(BUDGET);
-    let mut points: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    // Always include the last step: the final merge-commit/clean edge.
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
-}
-
 #[test]
 fn healthy_fabric_matches_single_process() {
     let fx = fixture();
@@ -136,7 +121,7 @@ fn healthy_fabric_matches_single_process() {
 fn kill_at_every_step_recovers_to_identical_fingerprint() {
     let fx = fixture();
     let total = fx.trace.len() as u64;
-    for k in sweep_points(total) {
+    for k in sweep_points(total, 48) {
         let plan = FabricFaultPlan {
             kill_at: Some(k),
             ..FabricFaultPlan::default()
@@ -242,37 +227,74 @@ fn coordinator_crash_between_lease_table_writes_recovers() {
 
 #[test]
 fn multi_worker_fabric_matches_single_process() {
-    // The real thing: four worker threads racing over one coordinator.
+    // The real thing: 1, 2 and 4 worker threads racing over one
+    // coordinator, on every backend family — POSIX (`FaultFs`), whole
+    // objects (`ObjectBackend<SimObjectStore>`), the remote wire stack and
+    // the 3-replica quorum front — each cell against the single-process
+    // fingerprint.
     let survey = survey_for(12, SEED ^ 0x4D);
     let baseline_fp = survey.run().fingerprint();
-    let fs = Arc::new(FaultFs::new(StoreFaultPlan::none()));
-    let backend: Arc<dyn StorageBackend> = fs.clone();
-    let cfg = FabricConfig {
-        workers: 4,
-        sites_per_lease: 2,
-        shard_capacity: 2,
-        scrub_threads: 2,
-        ..FabricConfig::default()
-    };
-    let outcome = run_survey_fabric(&survey, backend, &cfg).expect("4-worker fabric");
-    assert_eq!(outcome.dataset.fingerprint(), baseline_fp);
-    let stats = outcome.stats;
-    assert!(stats.enabled);
-    assert_eq!(stats.workers, 4);
-    assert_eq!(stats.leases_total, 6);
-    assert_eq!(stats.leases_completed, 6);
-    assert_eq!(stats.records_absorbed, 12);
-    // The provenance sidecar carries the fabric block.
-    let provenance = String::from_utf8(fs.get(PROVENANCE_NAME).expect("provenance written"))
-        .expect("provenance is UTF-8");
-    assert!(provenance.contains("\"fabric\""));
-    assert!(provenance.contains("\"workers\": 4"));
-    assert!(provenance.contains("\"publishes_fenced\": 0"));
-    // No staging debris survives the merge + finish sweep.
-    assert!(
-        fs.visible_names().iter().all(|n| !n.starts_with("stage-")),
-        "staging namespace must be empty after finish"
-    );
+    for workers in [1usize, 2, 4] {
+        for kind in ["posix", "objstore", "remote", "replicated"] {
+            let backend: Arc<dyn StorageBackend> = match kind {
+                "posix" => Arc::new(FaultFs::new(StoreFaultPlan::none())),
+                "objstore" => Arc::new(ObjectBackend::new(Arc::new(SimObjectStore::new(
+                    ObjFaultPlan::none(),
+                )))),
+                "remote" => remote_rig(WireFaultPlan::none()).backend,
+                _ => replica_rig([ObjFaultPlan::none(); 3]).backend,
+            };
+            let cfg = FabricConfig {
+                workers,
+                sites_per_lease: 2,
+                shard_capacity: 2,
+                scrub_threads: 2,
+                ..FabricConfig::default()
+            };
+            let cell = format!("{workers}-worker {kind} fabric");
+            let outcome = run_survey_fabric(&survey, Arc::clone(&backend), &cfg)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(outcome.dataset.fingerprint(), baseline_fp, "{cell}");
+            let stats = outcome.stats;
+            assert!(stats.enabled, "{cell}");
+            assert_eq!(stats.workers, workers as u64, "{cell}");
+            assert_eq!(stats.leases_total, 6, "{cell}");
+            assert_eq!(stats.leases_completed, 6, "{cell}");
+            assert_eq!(stats.records_absorbed, 12, "{cell}");
+            // The remote and replicated cells are visibly what they are:
+            // every op crossed the wire, and writes and reads settled at
+            // quorum over three replicas.
+            let totals = outcome.health.backend;
+            match kind {
+                "remote" => assert!(totals.remote_ops > 0, "{cell}: {totals:?}"),
+                "replicated" => {
+                    assert_eq!(totals.replicas, 3, "{cell}");
+                    assert!(totals.replica_quorum_writes > 0, "{cell}: {totals:?}");
+                    assert!(totals.replica_quorum_reads > 0, "{cell}: {totals:?}");
+                }
+                _ => {}
+            }
+            // The provenance sidecar carries the fabric block.
+            let provenance = String::from_utf8(
+                backend
+                    .get(PROVENANCE_NAME)
+                    .unwrap_or_else(|e| panic!("{cell}: provenance: {e}")),
+            )
+            .expect("provenance is UTF-8");
+            assert!(provenance.contains("\"fabric\""), "{cell}");
+            assert!(
+                provenance.contains(&format!("\"workers\": {workers}")),
+                "{cell}"
+            );
+            assert!(provenance.contains("\"publishes_fenced\": 0"), "{cell}");
+            // No staging debris survives the merge + finish sweep.
+            let names = backend.list().expect("list after finish");
+            assert!(
+                names.iter().all(|n| !n.starts_with("stage-")),
+                "{cell}: staging namespace must be empty after finish"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -333,7 +355,7 @@ fn partition_at_every_backend_op_recovers_to_identical_fingerprint() {
     );
     healthy.expect("healthy object-store sim");
     let total_ops = store.ops();
-    for p in sweep_points(total_ops) {
+    for p in sweep_points(total_ops, 48) {
         let (sim, store) = obj_sim_with(
             &fx.survey,
             &FabricFaultPlan::default(),
@@ -363,7 +385,7 @@ fn kill_and_partition_together_recover() {
     healthy.expect("healthy object-store sim");
     let total_ops = store.ops().max(1);
     let total_steps = fx.trace.len() as u64;
-    for k in sweep_points(total_steps) {
+    for k in sweep_points(total_steps, 48) {
         // Derived, deterministic, and spread across the op schedule so
         // the pairing isn't always "partition right at the start".
         let p = (k.wrapping_mul(7) + 3) % total_ops;
@@ -582,7 +604,7 @@ fn every_wire_fault_class_at_swept_exchanges_recovers() {
     let totals = rig.remote.remote_totals().expect("remote totals");
     assert_eq!(totals.retries, 0);
     let total_exchanges = totals.ops; // clean wire: one exchange per op
-    for (i, p) in sweep_points(total_exchanges).into_iter().enumerate() {
+    for (i, p) in sweep_points(total_exchanges, 48).into_iter().enumerate() {
         // Rotate through the fault classes across the swept positions so
         // the bounded run still exercises all six; `BFU_TORTURE_FULL=1`
         // sweeps every position (still rotating).
@@ -815,21 +837,6 @@ fn healthy_replica_ops() -> &'static Vec<u64> {
     })
 }
 
-/// Sweep points over one replica's op space, `budget` per replica in the
-/// bounded run, exhaustive under `BFU_TORTURE_FULL=1`.
-fn replica_sweep_points(total: u64, budget: u64) -> Vec<u64> {
-    let full = std::env::var("BFU_TORTURE_FULL").is_ok_and(|v| v == "1");
-    if full || total <= budget {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(budget);
-    let mut points: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
-}
-
 #[test]
 fn healthy_fabric_over_replicated_store_matches_single_process() {
     let fx = fixture();
@@ -900,7 +907,7 @@ fn kill_any_one_replica_at_any_of_its_ops_quorum_continues() {
     let ops = healthy_replica_ops();
     for (r, &total) in ops.iter().enumerate() {
         assert!(total > 10, "replica {r} workload too small: {total} ops");
-        for k in replica_sweep_points(total, 16) {
+        for k in sweep_points(total, 16) {
             let mut plans = [ObjFaultPlan::none(); 3];
             plans[r] = ObjFaultPlan::none().with_crash_at(k);
             let rig = replica_rig(plans);
@@ -936,7 +943,7 @@ fn partition_any_one_replica_at_any_of_its_ops_recovers() {
     let fx = fixture();
     let ops = healthy_replica_ops();
     for (r, &total) in ops.iter().enumerate() {
-        for p in replica_sweep_points(total, 8) {
+        for p in sweep_points(total, 8) {
             let mut plans = [ObjFaultPlan::none(); 3];
             plans[r] = ObjFaultPlan::none().with_partition_at(p);
             let rig = replica_rig(plans);
@@ -964,7 +971,7 @@ fn kill_replica_and_kill_worker_together_recover() {
     let fx = fixture();
     let ops = healthy_replica_ops();
     let total_steps = fx.trace.len() as u64;
-    for k in sweep_points(total_steps) {
+    for k in sweep_points(total_steps, 48) {
         let r = (k % 3) as usize;
         let p = (k.wrapping_mul(7) + 3) % ops[r].max(1);
         let mut plans = [ObjFaultPlan::none(); 3];

@@ -475,10 +475,17 @@ proptest! {
         let vm = tiny_crawl_with_engine(web_seed, 1, true, Engine::Vm);
         let tree = tiny_crawl_with_engine(web_seed, 1, true, Engine::TreeWalk);
         let vm_scratch = tiny_crawl_with_engine(web_seed, 1, false, Engine::Vm);
+        let tree_scratch = tiny_crawl_with_engine(web_seed, 1, false, Engine::TreeWalk);
         prop_assert_eq!(vm.fingerprint(), tree.fingerprint(),
             "VM and tree-walk must fingerprint identically");
         prop_assert_eq!(vm.fingerprint(), vm_scratch.fingerprint(),
             "chunk cache must not change VM measurements");
+        prop_assert_eq!(tree.fingerprint(), tree_scratch.fingerprint(),
+            "compile cache must not change tree-walk measurements");
+        // Cached cells run a live cache, scratch cells none at all.
+        prop_assert!(vm.cache.enabled && tree.cache.enabled);
+        prop_assert!(!vm_scratch.cache.enabled && !tree_scratch.cache.enabled);
+        prop_assert!(vm.cache.script_hits > 0 && tree.cache.script_hits > 0);
         // Same loss breakdown, not just the same features: typed script
         // errors and budget trips agree site by site (cache totals are the
         // one legitimate difference — the engines consult different cache
@@ -489,7 +496,7 @@ proptest! {
         tree_health.cache = bfu_crawler::CacheTotals::default();
         prop_assert_eq!(vm_health, tree_health);
         // The engines consult different cache families.
-        prop_assert!(vm.cache.chunk_misses > 0);
+        prop_assert!(vm.cache.chunk_misses > 0 && vm.cache.chunk_hits > 0);
         prop_assert_eq!(tree.cache.chunk_hits + tree.cache.chunk_misses, 0);
         prop_assert_eq!(t1(&vm), t1(&tree));
     }

@@ -206,6 +206,11 @@ fn study_report_from_store_matches_fresh_study() {
     let loaded = Study::from_store(config, &dir).expect("load");
     assert_eq!(loaded.crawled_sites, 0, "memoized analysis must not crawl");
     assert_eq!(
+        loaded.study.dataset().fingerprint(),
+        fresh.dataset().fingerprint(),
+        "the stored dataset must be the fresh one"
+    );
+    assert_eq!(
         loaded.study.report().render_all(),
         fresh.report().render_all(),
         "every table and figure regenerated from the store must match"
