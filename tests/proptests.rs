@@ -418,14 +418,18 @@ proptest! {
 fn tiny_crawl(web_seed: u64, threads: usize, compile_cache: bool) -> bfu_crawler::Dataset {
     tiny_crawl_with_engine(
         web_seed,
+        0,
         threads,
         compile_cache,
         bfu_browser::Engine::default(),
     )
 }
 
+/// `script_weight > 0` wraps every script in a never-called library bundle:
+/// the input the VM's lazy function lowering and the chunk cache exist for.
 fn tiny_crawl_with_engine(
     web_seed: u64,
+    script_weight: u32,
     threads: usize,
     compile_cache: bool,
     engine: bfu_browser::Engine,
@@ -433,7 +437,7 @@ fn tiny_crawl_with_engine(
     let web = bfu_webgen::SyntheticWeb::generate(bfu_webgen::WebConfig {
         sites: 12,
         seed: web_seed,
-        script_weight: 0,
+        script_weight,
     });
     let mut config = bfu_crawler::CrawlConfig::quick(web_seed ^ 0xCAFE);
     config.rounds_per_profile = 1;
@@ -472,33 +476,38 @@ proptest! {
     #[test]
     fn engine_never_changes_measurements(web_seed in 0u64..1_000) {
         use bfu_browser::Engine;
-        let vm = tiny_crawl_with_engine(web_seed, 1, true, Engine::Vm);
-        let tree = tiny_crawl_with_engine(web_seed, 1, true, Engine::TreeWalk);
-        let vm_scratch = tiny_crawl_with_engine(web_seed, 1, false, Engine::Vm);
-        let tree_scratch = tiny_crawl_with_engine(web_seed, 1, false, Engine::TreeWalk);
-        prop_assert_eq!(vm.fingerprint(), tree.fingerprint(),
-            "VM and tree-walk must fingerprint identically");
-        prop_assert_eq!(vm.fingerprint(), vm_scratch.fingerprint(),
-            "chunk cache must not change VM measurements");
-        prop_assert_eq!(tree.fingerprint(), tree_scratch.fingerprint(),
-            "compile cache must not change tree-walk measurements");
-        // Cached cells run a live cache, scratch cells none at all.
-        prop_assert!(vm.cache.enabled && tree.cache.enabled);
-        prop_assert!(!vm_scratch.cache.enabled && !tree_scratch.cache.enabled);
-        prop_assert!(vm.cache.script_hits > 0 && tree.cache.script_hits > 0);
-        // Same loss breakdown, not just the same features: typed script
-        // errors and budget trips agree site by site (cache totals are the
-        // one legitimate difference — the engines consult different cache
-        // families — so normalize that block before comparing).
-        let mut vm_health = vm.health();
-        let mut tree_health = tree.health();
-        vm_health.cache = bfu_crawler::CacheTotals::default();
-        tree_health.cache = bfu_crawler::CacheTotals::default();
-        prop_assert_eq!(vm_health, tree_health);
-        // The engines consult different cache families.
-        prop_assert!(vm.cache.chunk_misses > 0 && vm.cache.chunk_hits > 0);
-        prop_assert_eq!(tree.cache.chunk_hits + tree.cache.chunk_misses, 0);
-        prop_assert_eq!(t1(&vm), t1(&tree));
+        // The full engine × cache grid, on plain scripts at one thread and
+        // on library-bundled scripts at four threads.
+        for (weight, threads) in [(0, 1), (25, 4)] {
+            let crawl = |cache, engine| tiny_crawl_with_engine(web_seed, weight, threads, cache, engine);
+            let vm = crawl(true, Engine::Vm);
+            let tree = crawl(true, Engine::TreeWalk);
+            let vm_scratch = crawl(false, Engine::Vm);
+            let tree_scratch = crawl(false, Engine::TreeWalk);
+            prop_assert_eq!(vm.fingerprint(), tree.fingerprint(),
+                "VM and tree-walk must fingerprint identically (weight {})", weight);
+            prop_assert_eq!(vm.fingerprint(), vm_scratch.fingerprint(),
+                "chunk cache must not change VM measurements (weight {})", weight);
+            prop_assert_eq!(tree.fingerprint(), tree_scratch.fingerprint(),
+                "compile cache must not change tree-walk measurements (weight {})", weight);
+            // Cached cells run a live cache, scratch cells none at all.
+            prop_assert!(vm.cache.enabled && tree.cache.enabled);
+            prop_assert!(!vm_scratch.cache.enabled && !tree_scratch.cache.enabled);
+            prop_assert!(vm.cache.script_hits > 0 && tree.cache.script_hits > 0);
+            // Same loss breakdown, not just the same features: typed script
+            // errors and budget trips agree site by site (cache totals are the
+            // one legitimate difference — the engines consult different cache
+            // families — so normalize that block before comparing).
+            let mut vm_health = vm.health();
+            let mut tree_health = tree.health();
+            vm_health.cache = bfu_crawler::CacheTotals::default();
+            tree_health.cache = bfu_crawler::CacheTotals::default();
+            prop_assert_eq!(vm_health, tree_health);
+            // The engines consult different cache families.
+            prop_assert!(vm.cache.chunk_misses > 0 && vm.cache.chunk_hits > 0);
+            prop_assert_eq!(tree.cache.chunk_hits + tree.cache.chunk_misses, 0);
+            prop_assert_eq!(t1(&vm), t1(&tree));
+        }
     }
 }
 
