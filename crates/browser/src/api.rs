@@ -22,7 +22,16 @@
 //! XHR open, sendBeacon, requestAnimationFrame, ...); the long tail are
 //! plausible stubs. Either way every call flows through the prototype chain,
 //! which is what the instrumentation patches.
+//!
+//! **Built once per thread, bound per page.** Nothing the builder makes
+//! depends on the page: natives find the page's [`HostEnv`] through the
+//! interpreter's embedder slot when they run, not through their closures.
+//! So the surface is built once per thread and registry into a snapshot,
+//! and [`install`] hands each page a clone of it, bound to the page's host:
+//! the slot, the `document` object's DOM root, and `location.href` are the
+//! only per-page writes. (The snapshot lives in the private `boot` module.)
 
+use crate::log::FeatureLog;
 use crate::timers::TimerQueue;
 use bfu_dom::{Document, EventRegistry, NodeId};
 use bfu_net::{ResourceType, Url};
@@ -182,12 +191,84 @@ fn make_array(interp: &mut Interpreter, items: &[Value]) -> Value {
     Value::Obj(arr)
 }
 
-/// Install the full API surface into `interp`.
+/// What a page's natives reach through the interpreter's embedder slot:
+/// the page's host state and, once the instrumentation is installed, its
+/// feature log. Natives capture only what every page shares (prototype ids,
+/// feature ids), so one booted interpreter serves any page it is cloned for.
+pub(crate) struct PageSlot {
+    pub(crate) host: Rc<RefCell<HostEnv>>,
+    pub(crate) log: Option<Rc<RefCell<FeatureLog>>>,
+}
+
+/// The page's host state, read from the embedder slot.
+fn host_of(i: &Interpreter) -> Result<Rc<RefCell<HostEnv>>, RuntimeError> {
+    i.embedder::<PageSlot>()
+        .map(|p| Rc::clone(&p.host))
+        .ok_or_else(|| RuntimeError::TypeError("Web API called outside a page".into()))
+}
+
+/// Where the builder put the objects a page needs to find again: the same
+/// ids in every clone of the interpreter it built.
+#[derive(Clone)]
+pub(crate) struct Layout {
+    pub(crate) prototypes: Rc<HashMap<String, ObjId>>,
+    pub(crate) singletons: Vec<(String, ObjId)>,
+    pub(crate) document: ObjId,
+    pub(crate) location: ObjId,
+}
+
+/// Install the full API surface into `interp`, bound to `host`.
+///
+/// Expects a fresh interpreter ([`Interpreter::is_fresh`]), as every caller
+/// passes: it is then replaced by a clone of this thread's post-API
+/// snapshot of `registry` (built on first use by the `boot` module), and
+/// only the per-page state is bound — the embedder slot, the document
+/// object's DOM root, and `location.href`. A non-fresh interpreter gets the
+/// surface built into it in place: the same objects, rebuilt.
 pub fn install(
     interp: &mut Interpreter,
     registry: &FeatureRegistry,
     host: Rc<RefCell<HostEnv>>,
 ) -> ApiSurface {
+    let layout = if interp.is_fresh() {
+        crate::boot::api_stage(interp, registry)
+    } else {
+        build(interp, registry)
+    };
+    bind_page(interp, &layout, &host, None);
+    ApiSurface {
+        prototypes: layout.prototypes,
+        singletons: layout.singletons,
+        host,
+    }
+}
+
+/// Bind an interpreter booted with `layout` to one page: install the
+/// embedder slot and write the per-page values the builder leaves out.
+pub(crate) fn bind_page(
+    interp: &mut Interpreter,
+    layout: &Layout,
+    host: &Rc<RefCell<HostEnv>>,
+    log: Option<Rc<RefCell<FeatureLog>>>,
+) {
+    interp.set_embedder(Rc::new(PageSlot {
+        host: Rc::clone(host),
+        log,
+    }));
+    // document is backed by the DOM root.
+    let root = host.borrow().doc.root();
+    interp.heap.get_mut(layout.document).host_tag = Some(u64::from(root.raw()));
+    host.borrow_mut().node_objs.insert(root, layout.document);
+    let href = host.borrow().base_url.to_string();
+    interp
+        .heap
+        .set_prop_raw(layout.location, "href", Value::str(&href));
+}
+
+/// Build the page-independent API surface into `interp`. Every native it
+/// registers reads the page from the embedder slot, so the result can be
+/// snapshotted and cloned for any page.
+pub(crate) fn build(interp: &mut Interpreter, registry: &FeatureRegistry) -> Layout {
     // 1. Prototype objects for every interface in the registry.
     let mut protos: HashMap<String, ObjId> = HashMap::new();
     for f in registry.features() {
@@ -238,7 +319,7 @@ pub fn install(
             continue;
         }
         let proto = protos[&f.interface];
-        let native = behavior_native(interp, &f.interface, &f.member, &host, &protos);
+        let native = behavior_native(interp, &f.interface, &f.member, &protos);
         interp.heap.set_prop_raw(proto, &f.member, native);
     }
 
@@ -262,19 +343,10 @@ pub fn install(
     interp
         .heap
         .set_prop_raw(window, "window", Value::Obj(window));
-    // document is backed by the DOM root.
-    let doc_obj = singletons[1].1;
-    {
-        let root = host.borrow().doc.root();
-        interp.heap.get_mut(doc_obj).host_tag = Some(u64::from(root.raw()));
-        host.borrow_mut().node_objs.insert(root, doc_obj);
-    }
-    // location: a plain object, not part of the registry surface here.
+    let document = singletons[1].1;
+    // location: a plain object, not part of the registry surface here;
+    // `href` is per page (see `bind_page`).
     let location = interp.heap.alloc(None);
-    let href = host.borrow().base_url.to_string();
-    interp
-        .heap
-        .set_prop_raw(location, "href", Value::str(&href));
     interp
         .heap
         .set_prop_raw(window, "location", Value::Obj(location));
@@ -299,18 +371,18 @@ pub fn install(
     }
 
     // 5. Plumbing globals (not registry features; uncounted by design).
-    install_plumbing(interp, &host);
+    install_plumbing(interp);
 
-    ApiSurface {
+    Layout {
         prototypes: protos,
         singletons,
-        host,
+        document,
+        location,
     }
 }
 
-fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
-    let h = host.clone();
-    let set_timeout = interp.register_native(Rc::new(move |_, _, args| {
+fn install_plumbing(interp: &mut Interpreter) {
+    let set_timeout = interp.register_native(Rc::new(|i, _, args| {
         let cb = args.first().cloned().unwrap_or(Value::Undefined);
         let ms = args.get(1).map(|v| v.to_number()).unwrap_or(0.0);
         let ms = if ms.is_finite() && ms >= 0.0 {
@@ -318,15 +390,15 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
         } else {
             0
         };
-        let mut host = h.borrow_mut();
+        let host = host_of(i)?;
+        let mut host = host.borrow_mut();
         let now = host.now;
         let id = host.timers.schedule(cb, now, ms);
         Ok(Value::Num(f64::from(id)))
     }));
     interp.set_global("setTimeout", set_timeout);
 
-    let h = host.clone();
-    let set_interval = interp.register_native(Rc::new(move |_, _, args| {
+    let set_interval = interp.register_native(Rc::new(|i, _, args| {
         let cb = args.first().cloned().unwrap_or(Value::Undefined);
         let ms = args.get(1).map(|v| v.to_number()).unwrap_or(0.0);
         let ms = if ms.is_finite() && ms >= 1.0 {
@@ -334,18 +406,18 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
         } else {
             1
         };
-        let mut host = h.borrow_mut();
+        let host = host_of(i)?;
+        let mut host = host.borrow_mut();
         let now = host.now;
         let id = host.timers.schedule_repeating(cb, now, ms);
         Ok(Value::Num(f64::from(id)))
     }));
     interp.set_global("setInterval", set_interval);
 
-    let h = host.clone();
-    let clear = interp.register_native(Rc::new(move |_, _, args| {
+    let clear = interp.register_native(Rc::new(|i, _, args| {
         if let Some(id) = args.first().map(|v| v.to_number()) {
             if id.is_finite() && id >= 0.0 {
-                h.borrow_mut().timers.cancel(id as u32);
+                host_of(i)?.borrow_mut().timers.cancel(id as u32);
             }
         }
         Ok(Value::Undefined)
@@ -359,12 +431,12 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
     // feature set equals its planned feature set exactly. Real pages would
     // use `addEventListener` (a DOM2-E feature); planned DOM2-E usage still
     // calls the real, instrumented `addEventListener`.
-    let h = host.clone();
-    let listen = interp.register_native(Rc::new(move |_, _, args| {
+    let listen = interp.register_native(Rc::new(|i, _, args| {
         let sel_src = args.first().map(|v| v.to_display()).unwrap_or_default();
         let ev_type = args.get(1).map(|v| v.to_display()).unwrap_or_default();
         let cb = args.get(2).cloned().unwrap_or(Value::Undefined);
-        let mut hh = h.borrow_mut();
+        let host = host_of(i)?;
+        let mut hh = host.borrow_mut();
         let node = hh
             .compile_selector(&sel_src)
             .and_then(|s| s.query_first(&hh.doc))
@@ -381,18 +453,18 @@ fn behavior_native(
     interp: &mut Interpreter,
     interface: &str,
     member: &str,
-    host: &Rc<RefCell<HostEnv>>,
     protos: &Rc<HashMap<String, ObjId>>,
 ) -> Value {
-    let host = host.clone();
     let protos = protos.clone();
     match (interface, member) {
         ("Document", "createElement") => interp.register_native(Rc::new(move |i, _, args| {
+            let host = host_of(i)?;
             let tag = args.first().map(|v| v.to_display()).unwrap_or_default();
             let node = host.borrow_mut().doc.create_element(&tag);
             Ok(wrap_node(i, &host, &protos, node))
         })),
         ("Node", "appendChild") => interp.register_native(Rc::new(move |i, this, args| {
+            let host = host_of(i)?;
             let (Some(parent), Some(child)) =
                 (node_of(i, &this), args.first().and_then(|a| node_of(i, a)))
             else {
@@ -404,6 +476,7 @@ fn behavior_native(
             Ok(args[0].clone())
         })),
         ("Node", "insertBefore") => interp.register_native(Rc::new(move |i, this, args| {
+            let host = host_of(i)?;
             let parent = node_of(i, &this);
             let child = args.first().and_then(|a| node_of(i, a));
             let reference = args.get(1).and_then(|a| node_of(i, a));
@@ -422,6 +495,7 @@ fn behavior_native(
             Ok(args.first().cloned().unwrap_or(Value::Undefined))
         })),
         ("Node", "cloneNode") => interp.register_native(Rc::new(move |i, this, _| {
+            let host = host_of(i)?;
             let Some(node) = node_of(i, &this) else {
                 return Err(RuntimeError::TypeError("cloneNode needs a node".into()));
             };
@@ -429,6 +503,7 @@ fn behavior_native(
             Ok(wrap_node(i, &host, &protos, copy))
         })),
         ("Element", "remove") => interp.register_native(Rc::new(move |i, this, _| {
+            let host = host_of(i)?;
             if let Some(node) = node_of(i, &this) {
                 host.borrow_mut().doc.detach(node);
             }
@@ -437,6 +512,7 @@ fn behavior_native(
         (_, "querySelectorAll") | (_, "querySelector") => {
             let first_only = member == "querySelector";
             interp.register_native(Rc::new(move |i, _, args| {
+                let host = host_of(i)?;
                 let sel_src = args.first().map(|v| v.to_display()).unwrap_or_default();
                 let Some(sel) = host.borrow_mut().compile_selector(&sel_src) else {
                     return Ok(if first_only {
@@ -461,6 +537,7 @@ fn behavior_native(
         }
         ("EventTarget", "addEventListener") => {
             interp.register_native(Rc::new(move |i, this, args| {
+                let host = host_of(i)?;
                 let ev_type = args.first().map(|v| v.to_display()).unwrap_or_default();
                 let cb = args.get(1).cloned().unwrap_or(Value::Undefined);
                 let capture = args.get(2).map(|v| v.truthy()).unwrap_or(false);
@@ -472,6 +549,7 @@ fn behavior_native(
             }))
         }
         ("XMLHttpRequest", "open") => interp.register_native(Rc::new(move |i, this, args| {
+            let host = host_of(i)?;
             let url_str = args.get(1).map(|v| v.to_display()).unwrap_or_default();
             let mut h = host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
@@ -483,7 +561,8 @@ fn behavior_native(
             }
             Ok(Value::Undefined)
         })),
-        ("Navigator", "sendBeacon") => interp.register_native(Rc::new(move |_, _, args| {
+        ("Navigator", "sendBeacon") => interp.register_native(Rc::new(move |i, _, args| {
+            let host = host_of(i)?;
             let url_str = args.first().map(|v| v.to_display()).unwrap_or_default();
             let mut h = host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
@@ -492,6 +571,7 @@ fn behavior_native(
             Ok(Value::Bool(true))
         })),
         ("Window", "fetch") => interp.register_native(Rc::new(move |i, _, args| {
+            let host = host_of(i)?;
             let url_str = args.first().map(|v| v.to_display()).unwrap_or_default();
             let mut h = host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
@@ -500,7 +580,8 @@ fn behavior_native(
             Ok(Value::Obj(i.heap.alloc(None))) // a promise-shaped token
         })),
         ("Window", "requestAnimationFrame") => {
-            interp.register_native(Rc::new(move |_, _, args| {
+            interp.register_native(Rc::new(move |i, _, args| {
+                let host = host_of(i)?;
                 let cb = args.first().cloned().unwrap_or(Value::Undefined);
                 let mut h = host.borrow_mut();
                 let now = h.now;
@@ -514,8 +595,9 @@ fn behavior_native(
                 Ok(Value::Obj(i.heap.alloc(ctx_proto)))
             }))
         }
-        ("Performance", "now") => interp.register_native(Rc::new(move |_, _, _| {
-            Ok(Value::Num(host.borrow().now.millis() as f64))
+        ("Performance", "now") => interp.register_native(Rc::new(move |i, _, _| {
+            let now = host_of(i)?.borrow().now;
+            Ok(Value::Num(now.millis() as f64))
         })),
         ("Crypto", "getRandomValues") => interp.register_native(Rc::new(move |_, _, args| {
             Ok(args.first().cloned().unwrap_or(Value::Undefined))

@@ -19,8 +19,16 @@
 //!
 //! Installation happens after the API surface is built and **before any page
 //! script runs**, mirroring the paper's injection at the start of `<head>`.
+//!
+//! The wrappers and the watch handler record into the page's log through
+//! the interpreter's embedder slot, so the installed extension, like the
+//! API surface under it, is page-independent: it is built once per thread
+//! into a snapshot, and [`Instrumentation::install_with_index`] gives each
+//! page a clone of it with the page's own log in the slot. The paper's
+//! closure property still holds per page: each original survives only
+//! inside its wrapper's closure.
 
-use crate::api::{ApiSurface, IFACE_MARKER};
+use crate::api::{ApiSurface, PageSlot, IFACE_MARKER};
 use crate::log::FeatureLog;
 use bfu_script::interp::Interpreter;
 use bfu_script::object::ObjId;
@@ -34,40 +42,62 @@ use std::rc::Rc;
 /// property features — the table the property-write watcher resolves against.
 ///
 /// Building it walks every registry feature and clones its interface/member
-/// strings, which is far too expensive to redo on every page load (the
-/// registry never changes between loads). The browser builds one per
-/// registry and shares it across every install; [`Instrumentation::install`]
-/// builds a throwaway one for callers that don't keep a browser around.
+/// strings, too much to redo per page; a [`crate::Browser`] builds one per
+/// registry. Since pages boot from a per-thread snapshot, the index is read
+/// only when a thread first builds its post-instrumentation snapshot (the
+/// watcher in it keeps that index) or when the instrumentation is built in
+/// place; later pages reuse the snapshot's. It records which registry
+/// content it indexes, so an index is never paired with another registry's
+/// snapshot.
 #[derive(Debug, Clone)]
-pub struct PropIndex(Rc<HashMap<(String, String), bfu_webidl::FeatureId>>);
+pub struct PropIndex {
+    map: Rc<HashMap<(String, String), bfu_webidl::FeatureId>>,
+    registry_digest: u64,
+}
 
 impl PropIndex {
     /// Index every property feature of `registry`.
     pub fn build(registry: &FeatureRegistry) -> PropIndex {
-        PropIndex(Rc::new(
-            registry
-                .features()
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.kind == FeatureKind::Property)
-                .map(|(i, f)| {
-                    (
-                        (f.interface.clone(), f.member.clone()),
-                        bfu_webidl::FeatureId::from_usize(i),
-                    )
-                })
-                .collect(),
-        ))
+        PropIndex {
+            map: Rc::new(
+                registry
+                    .features()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.kind == FeatureKind::Property)
+                    .map(|(i, f)| {
+                        (
+                            (f.interface.clone(), f.member.clone()),
+                            bfu_webidl::FeatureId::from_usize(i),
+                        )
+                    })
+                    .collect(),
+            ),
+            registry_digest: registry.digest(),
+        }
+    }
+
+    /// Whether this index was built from a registry with `registry`'s content.
+    pub(crate) fn indexes(&self, registry: &FeatureRegistry) -> bool {
+        self.registry_digest == registry.digest()
     }
 }
 
 /// Handle to the installed instrumentation.
 #[derive(Debug)]
 pub struct Instrumentation {
-    /// Shared invocation log (also held by every wrapper).
+    /// Shared invocation log (the page's wrappers record into it through
+    /// the interpreter's embedder slot).
     pub log: Rc<RefCell<FeatureLog>>,
     /// The watch handler attached to singletons and instances.
     watch_handler: ObjId,
+}
+
+/// Count one invocation of `fid` in the page's log, if it has one.
+fn record(i: &Interpreter, fid: bfu_webidl::FeatureId) {
+    if let Some(log) = i.embedder::<PageSlot>().and_then(|p| p.log.as_ref()) {
+        log.borrow_mut().record(fid);
+    }
 }
 
 impl Instrumentation {
@@ -87,6 +117,15 @@ impl Instrumentation {
     }
 
     /// Install the measuring extension with a pre-built property index.
+    ///
+    /// Expects `interp` to be the interpreter [`crate::api::install`] just
+    /// returned with `api`, nothing run or changed since, as every caller
+    /// passes. It is then replaced by a clone of this thread's
+    /// post-instrumentation snapshot (built on first use) and re-bound to
+    /// the page, with `log` in its embedder slot. The check is cheap —
+    /// `api` came from the snapshot, and the heap, natives and fuel are
+    /// still the snapshot's — and an interpreter that fails it gets the
+    /// instrumentation built into it in place instead.
     pub fn install_with_index(
         interp: &mut Interpreter,
         api: &ApiSurface,
@@ -94,103 +133,18 @@ impl Instrumentation {
         log: Rc<RefCell<FeatureLog>>,
         prop_index: &PropIndex,
     ) -> Instrumentation {
-        // --- property-write watcher -------------------------------------
-        // Resolves (this.__iface, propName) against the registry; writes to
-        // unknown pairs and internal (`__`-prefixed) props are ignored.
-        let prop_index = Rc::clone(&prop_index.0);
-        let watch_log = log.clone();
-        let iface_marker = bfu_util::Atom::intern(IFACE_MARKER);
-        let watch_handler = interp.register_native_obj(Rc::new(move |i, this, args| {
-            let prop = args.first().map(|v| v.to_display()).unwrap_or_default();
-            if prop.starts_with("__") {
-                return Ok(Value::Undefined);
-            }
-            if let Some(obj) = this.as_obj() {
-                // Walk the prototype chain through __iface markers so a
-                // write on an HTMLCanvasElement can match features declared
-                // on HTMLElement, Element, or Node as well.
-                let mut cur = Some(obj);
-                let mut hops = 0;
-                while let Some(o) = cur {
-                    let iface = i.heap.get(o).props.get(&iface_marker).cloned();
-                    if let Some(iface) = iface {
-                        let key = (iface.to_display(), prop.clone());
-                        if let Some(&fid) = prop_index.get(&key) {
-                            watch_log.borrow_mut().record(fid);
-                            break;
-                        }
-                    }
-                    cur = i.heap.get(o).proto;
-                    hops += 1;
-                    if hops > 16 {
-                        break;
-                    }
+        let watch_handler =
+            match crate::boot::instrumented_stage(interp, api, registry, prop_index, &log) {
+                Some(handler) => handler,
+                None => {
+                    let handler = build(interp, api, registry, prop_index);
+                    interp.set_embedder(Rc::new(PageSlot {
+                        host: Rc::clone(&api.host),
+                        log: Some(Rc::clone(&log)),
+                    }));
+                    handler
                 }
-            }
-            Ok(Value::Undefined)
-        }));
-
-        // Watch the singletons (the paper's Object.watch on window etc.).
-        for (_, obj) in &api.singletons {
-            interp.heap.watch(*obj, watch_handler);
-        }
-
-        // --- method wrappers --------------------------------------------
-        for (ix, f) in registry.features().iter().enumerate() {
-            if f.kind != FeatureKind::Method {
-                continue;
-            }
-            let fid = bfu_webidl::FeatureId::from_usize(ix);
-            let proto = api.prototypes[&f.interface];
-            let original = interp.heap.get_prop(proto, &f.member);
-            let wrapper_log = log.clone();
-            let wrapper = interp.register_native(Rc::new(move |i, this, args| {
-                wrapper_log.borrow_mut().record(fid);
-                let result = i.call_value(&original, this, args)?;
-                // Attach the watch to any fresh object the API hands out, so
-                // subsequent property writes on it are attributable.
-                if let Some(out_obj) = result.as_obj() {
-                    if i.heap.get(out_obj).watch_all.is_none() && !i.heap.is_callable(out_obj) {
-                        // handler id is threaded via a global (set below).
-                        if let Some(h) = i.get_global("__bfu_watch").as_obj() {
-                            i.heap.watch(out_obj, h);
-                        }
-                    }
-                }
-                Ok(result)
-            }));
-            interp.heap.set_prop_raw(proto, &f.member, wrapper);
-        }
-
-        // Wrap constructors so `new XMLHttpRequest()` instances get watched.
-        // The `new` machinery allocates the instance and passes it as `this`
-        // to the constructor — our wrapper watches it there.
-        interp.set_global("__bfu_watch", Value::Obj(watch_handler));
-        for (name, &_proto) in api.prototypes.iter() {
-            let ctor = interp.get_global(name);
-            let Some(ctor_obj) = ctor.as_obj() else {
-                continue;
             };
-            if !interp.heap.is_callable(ctor_obj) {
-                continue;
-            }
-            let inner = ctor.clone();
-            let wrapped_obj = interp.register_native_obj(Rc::new(move |i, this, args| {
-                if let Some(instance) = this.as_obj() {
-                    if let Some(h) = i.get_global("__bfu_watch").as_obj() {
-                        i.heap.watch(instance, h);
-                    }
-                }
-                i.call_value(&inner, this, args)
-            }));
-            // The wrapped constructor must expose the same .prototype.
-            let proto_val = interp.heap.get_prop(ctor_obj, "prototype");
-            interp
-                .heap
-                .set_prop_raw(wrapped_obj, "prototype", proto_val);
-            interp.set_global(name, Value::Obj(wrapped_obj));
-        }
-
         Instrumentation { log, watch_handler }
     }
 
@@ -199,6 +153,112 @@ impl Instrumentation {
     pub fn watch_handler(&self) -> ObjId {
         self.watch_handler
     }
+}
+
+/// Build the page-independent instrumentation into `interp` (booted with
+/// `api`'s surface) and return the watch handler. Wrappers and the watcher
+/// record into whatever log the embedder slot holds when they run.
+pub(crate) fn build(
+    interp: &mut Interpreter,
+    api: &ApiSurface,
+    registry: &FeatureRegistry,
+    prop_index: &PropIndex,
+) -> ObjId {
+    // --- property-write watcher -------------------------------------
+    // Resolves (this.__iface, propName) against the registry; writes to
+    // unknown pairs and internal (`__`-prefixed) props are ignored.
+    let prop_index = Rc::clone(&prop_index.map);
+    let iface_marker = bfu_util::Atom::intern(IFACE_MARKER);
+    let watch_handler = interp.register_native_obj(Rc::new(move |i, this, args| {
+        let prop = args.first().map(|v| v.to_display()).unwrap_or_default();
+        if prop.starts_with("__") {
+            return Ok(Value::Undefined);
+        }
+        if let Some(obj) = this.as_obj() {
+            // Walk the prototype chain through __iface markers so a
+            // write on an HTMLCanvasElement can match features declared
+            // on HTMLElement, Element, or Node as well.
+            let mut cur = Some(obj);
+            let mut hops = 0;
+            while let Some(o) = cur {
+                let iface = i.heap.get(o).props.get(&iface_marker).cloned();
+                if let Some(iface) = iface {
+                    let key = (iface.to_display(), prop.clone());
+                    if let Some(&fid) = prop_index.get(&key) {
+                        record(i, fid);
+                        break;
+                    }
+                }
+                cur = i.heap.get(o).proto;
+                hops += 1;
+                if hops > 16 {
+                    break;
+                }
+            }
+        }
+        Ok(Value::Undefined)
+    }));
+
+    // Watch the singletons (the paper's Object.watch on window etc.).
+    for (_, obj) in &api.singletons {
+        interp.heap.watch(*obj, watch_handler);
+    }
+
+    // --- method wrappers --------------------------------------------
+    for (ix, f) in registry.features().iter().enumerate() {
+        if f.kind != FeatureKind::Method {
+            continue;
+        }
+        let fid = bfu_webidl::FeatureId::from_usize(ix);
+        let proto = api.prototypes[&f.interface];
+        let original = interp.heap.get_prop(proto, &f.member);
+        let wrapper = interp.register_native(Rc::new(move |i, this, args| {
+            record(i, fid);
+            let result = i.call_value(&original, this, args)?;
+            // Attach the watch to any fresh object the API hands out, so
+            // subsequent property writes on it are attributable.
+            if let Some(out_obj) = result.as_obj() {
+                if i.heap.get(out_obj).watch_all.is_none() && !i.heap.is_callable(out_obj) {
+                    // handler id is threaded via a global (set below).
+                    if let Some(h) = i.get_global("__bfu_watch").as_obj() {
+                        i.heap.watch(out_obj, h);
+                    }
+                }
+            }
+            Ok(result)
+        }));
+        interp.heap.set_prop_raw(proto, &f.member, wrapper);
+    }
+
+    // Wrap constructors so `new XMLHttpRequest()` instances get watched.
+    // The `new` machinery allocates the instance and passes it as `this`
+    // to the constructor — our wrapper watches it there.
+    interp.set_global("__bfu_watch", Value::Obj(watch_handler));
+    for (name, &_proto) in api.prototypes.iter() {
+        let ctor = interp.get_global(name);
+        let Some(ctor_obj) = ctor.as_obj() else {
+            continue;
+        };
+        if !interp.heap.is_callable(ctor_obj) {
+            continue;
+        }
+        let inner = ctor.clone();
+        let wrapped_obj = interp.register_native_obj(Rc::new(move |i, this, args| {
+            if let Some(instance) = this.as_obj() {
+                if let Some(h) = i.get_global("__bfu_watch").as_obj() {
+                    i.heap.watch(instance, h);
+                }
+            }
+            i.call_value(&inner, this, args)
+        }));
+        // The wrapped constructor must expose the same .prototype.
+        let proto_val = interp.heap.get_prop(ctor_obj, "prototype");
+        interp
+            .heap
+            .set_prop_raw(wrapped_obj, "prototype", proto_val);
+        interp.set_global(name, Value::Obj(wrapped_obj));
+    }
+    watch_handler
 }
 
 #[cfg(test)]

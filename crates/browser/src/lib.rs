@@ -14,6 +14,7 @@
 //!
 //! - [`api`] — Web API bindings: every registry feature becomes a callable
 //!   method or watchable property on the right prototype object.
+//! - `boot` — per-thread post-boot snapshots every page is cloned from.
 //! - [`cache`] — survey-wide compilation cache (scripts + frame documents).
 //! - [`instrument`] — the measuring extension: prototype patching and
 //!   watchpoints producing [`log::FeatureLog`] records.
@@ -24,6 +25,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod api;
+mod boot;
 pub mod cache;
 pub mod instrument;
 pub mod log;

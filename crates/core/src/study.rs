@@ -95,12 +95,12 @@ impl StudyConfig {
     }
 }
 
-/// A completed study: the web, the dataset, and the registry.
+/// A completed study: the web (which carries the feature registry) and the
+/// dataset.
 #[derive(Debug)]
 pub struct Study {
     web: SyntheticWeb,
     dataset: Dataset,
-    registry: FeatureRegistry,
     config: StudyConfig,
 }
 
@@ -153,11 +153,11 @@ impl Study {
     }
 
     /// Assemble a study from already-obtained parts (a stored dataset).
+    /// The analysis reads the web's own registry; none is rebuilt.
     pub fn from_parts(web: SyntheticWeb, dataset: Dataset, config: StudyConfig) -> Study {
         Study {
             web,
             dataset,
-            registry: FeatureRegistry::build(),
             config,
         }
     }
@@ -225,7 +225,7 @@ impl Study {
 
     /// The feature registry.
     pub fn registry(&self) -> &FeatureRegistry {
-        &self.registry
+        self.web.registry()
     }
 
     /// The configuration used.
@@ -235,19 +235,19 @@ impl Study {
 
     /// Compute every analysis.
     pub fn report(&self) -> StudyReport {
-        let features = FeaturePopularity::compute(&self.dataset, &self.registry);
-        let standards = StandardPopularity::compute(&self.dataset, &self.registry);
+        let registry = self.registry();
+        let features = FeaturePopularity::compute(&self.dataset, registry);
+        let standards = StandardPopularity::compute(&self.dataset, registry);
         let headline_stats = headline(&features, &standards);
         let table1 = tables::table1(&self.dataset);
-        let table2 = tables::table2_full(&standards, &self.registry);
-        let table3 =
-            new_standards_per_round(&self.dataset, &self.registry, BrowserProfile::Default);
+        let table2 = tables::table2_full(&standards, registry);
+        let table3 = new_standards_per_round(&self.dataset, registry, BrowserProfile::Default);
         let fig3 = standards.popularity_cdf(BrowserProfile::Default);
-        let fig4 = fig4_points(&standards, &self.registry);
-        let fig5 = fig5_points(&self.dataset, &self.registry);
-        let fig6 = age::fig6_points(&standards, &self.registry);
-        let fig7 = fig7_points(&standards, &self.registry);
-        let fig8 = complexity(&self.dataset, &self.registry);
+        let fig4 = fig4_points(&standards, registry);
+        let fig5 = fig5_points(&self.dataset, registry);
+        let fig6 = age::fig6_points(&standards, registry);
+        let fig7 = fig7_points(&standards, registry);
+        let fig8 = complexity(&self.dataset, registry);
         StudyReport {
             features,
             standards,

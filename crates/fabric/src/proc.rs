@@ -414,6 +414,10 @@ pub fn run_fabric_coordinator(
     Ok(outcome)
 }
 
+/// How long worker processes get, once the coordinator returns, to see the
+/// done marker and exit on their own before they are killed.
+const REAP_GRACE: Duration = Duration::from_secs(1);
+
 /// Run `survey` across real OS worker processes on `backend`.
 ///
 /// `spawn_worker(id)` launches worker process `id` (which must end up
@@ -423,6 +427,11 @@ pub fn run_fabric_coordinator(
 /// polled for liveness and reaped on exit. Worker deaths are tolerated:
 /// their leases are fenced and reassigned, and if every worker dies the
 /// coordinator finishes the crawl inline.
+///
+/// No worker outlives the call: once the coordinator returns, workers get
+/// a short grace to exit on their own, and any still running after it are
+/// killed. Every child is waited for, so none is left a zombie or left
+/// polling a store its caller is about to delete.
 pub fn run_survey_fabric_processes(
     survey: &Survey,
     backend: Arc<dyn StorageBackend>,
@@ -437,7 +446,7 @@ pub fn run_survey_fabric_processes(
             Err(_) => children.push((id, None)),
         }
     }
-    let mut alive = move |id: u32| -> bool {
+    let mut alive = |id: u32| -> bool {
         children
             .iter_mut()
             .find(|(cid, _)| *cid == id)
@@ -450,7 +459,29 @@ pub fn run_survey_fabric_processes(
             })
             .is_some()
     };
-    run_fabric_coordinator(survey, backend, cfg, &mut alive)
+    let outcome = run_fabric_coordinator(survey, backend, cfg, &mut alive);
+    reap(children.into_iter().filter_map(|(_, c)| c).collect());
+    outcome
+}
+
+/// Wait up to [`REAP_GRACE`] for `children` to exit, then kill the rest;
+/// every child is waited for before this returns.
+fn reap(mut children: Vec<std::process::Child>) {
+    let deadline = std::time::Instant::now() + REAP_GRACE;
+    // `try_wait` reaps an exited child; an error means it cannot be
+    // polled any more, and it is killed and waited for below like one that
+    // outstayed its grace.
+    loop {
+        children.retain_mut(|c| !matches!(c.try_wait(), Ok(Some(_))));
+        if children.is_empty() || std::time::Instant::now() >= deadline {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for mut child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,13 @@
 //! registered with [`Interpreter::register_native`], wrapped in callable
 //! heap objects. The browser crate uses these to implement the entire Web
 //! API surface and the instrumentation wrappers.
+//!
+//! Natives reach per-embedding state (the page's DOM, its feature log)
+//! through the interpreter's *embedder slot* ([`Interpreter::set_embedder`],
+//! [`Interpreter::embedder`]) rather than through their closures. A native
+//! then captures only state that is the same for every embedding, so a
+//! fully booted interpreter can be cloned ([`Interpreter`] is `Clone`) and
+//! the clone handed a different slot: the browser boots each page that way.
 
 use crate::ast::*;
 use crate::budget::ResourceBudget;
@@ -17,6 +24,7 @@ use crate::object::{Callable, EnvId, Heap};
 use crate::parser::{parse, ParseError};
 use crate::value::Value;
 use bfu_util::Atom;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -72,7 +80,7 @@ impl std::error::Error for RuntimeError {}
 /// A host function: `(interpreter, this, args) -> value`.
 pub type NativeFn = Rc<dyn Fn(&mut Interpreter, Value, &[Value]) -> Result<Value, RuntimeError>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Env {
     pub(crate) vars: HashMap<Atom, Value>,
     pub(crate) parent: Option<EnvId>,
@@ -88,11 +96,17 @@ enum Flow {
 }
 
 /// The interpreter: heap, scopes, natives, and fuel.
+///
+/// Cloning copies the scopes and budget state and shares the natives, the
+/// embedder slot and (copy-on-write) the heap's objects: the clone behaves
+/// exactly like the original would from this point on.
+#[derive(Clone)]
 pub struct Interpreter {
     /// The object heap (public: the embedder builds prototypes directly).
     pub heap: Heap,
     pub(crate) envs: Vec<Env>,
-    natives: Vec<NativeFn>,
+    /// Shared between clones until one registers another native.
+    natives: Rc<Vec<NativeFn>>,
     pub(crate) global: EnvId,
     pub(crate) fuel: u64,
     depth: u32,
@@ -105,6 +119,8 @@ pub struct Interpreter {
     string_budget: u64,
     /// Set by `Stmt::Expr` so `run` can return the last expression value.
     pub(crate) last_expr_value: Option<Value>,
+    /// Embedder context natives read through [`Interpreter::embedder`].
+    embedder: Option<Rc<dyn Any>>,
 }
 
 impl fmt::Debug for Interpreter {
@@ -114,11 +130,13 @@ impl fmt::Debug for Interpreter {
             .field("envs", &self.envs.len())
             .field("natives", &self.natives.len())
             .field("fuel", &self.fuel)
+            .field("embedder", &self.embedder.is_some())
             .finish()
     }
 }
 
 const DEFAULT_FUEL: u64 = 5_000_000;
+const DEFAULT_MAX_DEPTH: u32 = 64;
 
 impl Interpreter {
     /// A fresh interpreter with an empty global scope and default fuel.
@@ -126,18 +144,54 @@ impl Interpreter {
         let mut interp = Interpreter {
             heap: Heap::new(),
             envs: Vec::new(),
-            natives: Vec::new(),
+            natives: Rc::default(),
             global: EnvId::new(0),
             fuel: DEFAULT_FUEL,
             depth: 0,
-            max_depth: 64,
+            max_depth: DEFAULT_MAX_DEPTH,
             heap_ceiling: usize::MAX,
             string_bytes: 0,
             string_budget: u64::MAX,
             last_expr_value: None,
+            embedder: None,
         };
         interp.global = interp.push_env(None, Value::Undefined);
         interp
+    }
+
+    /// Whether this interpreter is still exactly as [`Interpreter::new`]
+    /// made it: nothing allocated, registered, bound, run or budgeted, and
+    /// no embedder context. An embedder may replace a fresh interpreter
+    /// with a clone of one it booted earlier without losing anything.
+    pub fn is_fresh(&self) -> bool {
+        self.heap.is_empty()
+            && self.natives.is_empty()
+            && self.envs.len() == 1
+            && self.envs[self.global.index()].vars.is_empty()
+            && self.fuel == DEFAULT_FUEL
+            && self.depth == 0
+            && self.max_depth == DEFAULT_MAX_DEPTH
+            && self.heap_ceiling == usize::MAX
+            && self.string_bytes == 0
+            && self.string_budget == u64::MAX
+            && self.last_expr_value.is_none()
+            && self.embedder.is_none()
+    }
+
+    /// Number of registered natives.
+    pub fn native_count(&self) -> usize {
+        self.natives.len()
+    }
+
+    /// Install the embedder context natives read back with
+    /// [`Interpreter::embedder`], replacing any earlier one.
+    pub fn set_embedder(&mut self, ctx: Rc<dyn Any>) {
+        self.embedder = Some(ctx);
+    }
+
+    /// The embedder context, if one of type `T` is installed.
+    pub fn embedder<T: Any>(&self) -> Option<&T> {
+        self.embedder.as_deref()?.downcast_ref::<T>()
     }
 
     pub(crate) fn push_env(&mut self, parent: Option<EnvId>, this: Value) -> EnvId {
@@ -190,7 +244,7 @@ impl Interpreter {
         // Native counts are embedder-bounded (a few thousand); saturating
         // keeps this total without a panic path.
         let idx = u32::try_from(self.natives.len()).unwrap_or(u32::MAX);
-        self.natives.push(f);
+        Rc::make_mut(&mut self.natives).push(f);
         self.heap.alloc_callable(Callable::Native(idx), None)
     }
 
@@ -207,6 +261,18 @@ impl Interpreter {
         Atom::get(name)
             .and_then(|a| self.envs[self.global.index()].vars.get(&a).cloned())
             .unwrap_or(Value::Undefined)
+    }
+
+    /// Every global binding's name, sorted by string (atom ids are
+    /// scheduling-dependent and must never drive ordering).
+    pub fn global_names(&self) -> Vec<&'static str> {
+        let mut names: Vec<&'static str> = self.envs[self.global.index()]
+            .vars
+            .keys()
+            .map(|a| a.as_str())
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     /// Parse and run source text in the global scope.

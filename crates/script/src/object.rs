@@ -15,6 +15,7 @@ use crate::ast::FunctionDef;
 use crate::value::Value;
 use bfu_util::{define_id, Atom};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 define_id!(
@@ -96,9 +97,14 @@ pub struct Object {
 }
 
 /// The object heap.
-#[derive(Debug, Default)]
+///
+/// Objects are copy-on-write: cloning a heap shares every object with the
+/// original, and the first write to a shared object through either heap
+/// copies just that object. A booted browser heap is cloned once per page,
+/// and a page writes to few of its ~2,100 objects.
+#[derive(Debug, Default, Clone)]
 pub struct Heap {
-    objects: Vec<Object>,
+    objects: Vec<Rc<Object>>,
 }
 
 impl Heap {
@@ -110,17 +116,17 @@ impl Heap {
     /// Allocate a plain object with the given prototype.
     pub fn alloc(&mut self, proto: Option<ObjId>) -> ObjId {
         let id = ObjId::from_usize(self.objects.len());
-        self.objects.push(Object {
+        self.objects.push(Rc::new(Object {
             proto,
             ..Object::default()
-        });
+        }));
         id
     }
 
     /// Allocate a callable object.
     pub fn alloc_callable(&mut self, callable: Callable, proto: Option<ObjId>) -> ObjId {
         let id = self.alloc(proto);
-        self.objects[id.index()].callable = Some(callable);
+        self.get_mut(id).callable = Some(callable);
         id
     }
 
@@ -131,7 +137,7 @@ impl Heap {
 
     /// Mutably borrow an object.
     pub fn get_mut(&mut self, id: ObjId) -> &mut Object {
-        &mut self.objects[id.index()]
+        Rc::make_mut(&mut self.objects[id.index()])
     }
 
     /// Number of live objects.
@@ -203,7 +209,7 @@ impl Heap {
     /// Write an own property by atom **without** firing watchpoints.
     /// Returns the old own value.
     pub fn set_prop_raw_atom(&mut self, id: ObjId, key: Atom, value: Value) -> Value {
-        self.objects[id.index()]
+        self.get_mut(id)
             .props
             .insert(key, value)
             .unwrap_or(Value::Undefined)
@@ -235,12 +241,12 @@ impl Heap {
 
     /// Install a watch handler on `id` (fires for every property write).
     pub fn watch(&mut self, id: ObjId, handler: ObjId) {
-        self.objects[id.index()].watch_all = Some(handler);
+        self.get_mut(id).watch_all = Some(handler);
     }
 
     /// Remove the watch handler.
     pub fn unwatch(&mut self, id: ObjId) {
-        self.objects[id.index()].watch_all = None;
+        self.get_mut(id).watch_all = None;
     }
 
     /// Own property names (sorted by *string*, for deterministic iteration —
@@ -326,6 +332,21 @@ mod tests {
         heap.set_prop_raw(o, "b", Value::Num(1.0));
         heap.set_prop_raw(o, "a", Value::Num(2.0));
         assert_eq!(heap.own_keys(o), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn clones_share_objects_until_written() {
+        let mut heap = Heap::new();
+        let o = heap.alloc(None);
+        heap.set_prop_raw(o, "x", Value::Num(1.0));
+        let mut copy = heap.clone();
+        copy.set_prop_raw(o, "x", Value::Num(2.0));
+        copy.get_mut(o).host_tag = Some(9);
+        let fresh = copy.alloc(Some(o));
+        assert!(matches!(heap.get_prop(o, "x"), Value::Num(n) if n == 1.0));
+        assert_eq!(heap.get(o).host_tag, None);
+        assert_eq!(heap.len(), 1);
+        assert!(matches!(copy.get_prop(fresh, "x"), Value::Num(n) if n == 2.0));
     }
 
     #[test]

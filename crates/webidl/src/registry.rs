@@ -15,7 +15,7 @@ use crate::ast::Member;
 use crate::catalog::{StandardId, StandardInfo, CATALOG};
 use crate::corpus;
 use crate::parser;
-use bfu_util::define_id;
+use bfu_util::{define_id, Fnv64};
 use std::collections::HashMap;
 
 define_id!(
@@ -57,6 +57,7 @@ pub struct FeatureRegistry {
     features: Vec<FeatureInfo>,
     by_name: HashMap<String, FeatureId>,
     by_standard: Vec<Vec<FeatureId>>,
+    digest: u64,
 }
 
 impl FeatureRegistry {
@@ -101,10 +102,19 @@ impl FeatureRegistry {
         }
 
         FeatureRegistry {
+            digest: content_digest(&features),
             features,
             by_name,
             by_standard,
         }
+    }
+
+    /// Content digest of every feature (name, interface, member, kind,
+    /// standard, rank), computed once at build. Equal registries — a clone,
+    /// or a second build — share it, so it keys state derived from the
+    /// registry's content without comparing addresses.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Total number of features (the paper's 1,392).
@@ -158,6 +168,20 @@ impl FeatureRegistry {
     }
 }
 
+/// FNV-64 over every field of every feature, in id order.
+fn content_digest(features: &[FeatureInfo]) -> u64 {
+    let mut h = Fnv64::new();
+    for f in features {
+        h.write_str(&f.name);
+        h.write_str(&f.interface);
+        h.write_str(&f.member);
+        h.write_u64(u64::from(f.kind == FeatureKind::Method));
+        h.write_u64(f.standard.raw().into());
+        h.write_u64(f.rank_in_standard.into());
+    }
+    h.finish()
+}
+
 impl Default for FeatureRegistry {
     fn default() -> Self {
         Self::build()
@@ -174,6 +198,16 @@ mod tests {
         let reg = FeatureRegistry::build();
         assert_eq!(reg.feature_count(), 1392);
         assert_eq!(reg.standard_count(), 75);
+    }
+
+    #[test]
+    fn digest_follows_content_not_address() {
+        let reg = FeatureRegistry::build();
+        assert_eq!(reg.digest(), FeatureRegistry::build().digest());
+        assert_eq!(reg.digest(), reg.clone().digest());
+        let mut features = reg.features.clone();
+        features[0].member.push('x');
+        assert_ne!(reg.digest(), content_digest(&features));
     }
 
     #[test]

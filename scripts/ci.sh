@@ -3,11 +3,12 @@
 #
 #   ./scripts/ci.sh
 #
-# Mirrors the tier-1 verification the roadmap pins (release build + tests)
-# and adds the clippy wall the supervision, engine, and storage code is held
-# to: unwrap/expect are denied outside tests in bfu-crawler, bfu-script,
-# bfu-browser, bfu-store, bfu-objstore, and bfu-fabric (a panic in any of
-# them takes a whole survey — or its only on-disk copy — down).
+# Mirrors the tier-1 verification the roadmap pins (release build + tests),
+# builds and smoke-runs the perfbench benchmark, and adds the clippy wall
+# the supervision, engine, and storage code is held to: unwrap/expect are
+# denied outside tests in bfu-crawler, bfu-script, bfu-browser, bfu-store,
+# bfu-objstore, and bfu-fabric (a panic in any of them takes a whole
+# survey — or its only on-disk copy — down).
 #
 # Set BFU_TORTURE_FULL=1 for the exhaustive sweeps (every backend op, fabric
 # step, wire exchange and replica op) instead of the bounded default; the
@@ -84,6 +85,21 @@ echo "==> no-panic property tests + engine differential (tree-walk vs VM)"
 # with every cached cell's cache live. The chaos suite above extends the
 # engine gate to a 200-site hostile web.
 cargo test -q --test proptests
+
+echo "==> perfbench: build, unit tests, traced smoke run of every workload"
+# The benchmark is a package of its own that reaches the library only
+# through bfu-core's public API, so building it here turns a public-API
+# break into a CI failure instead of a failed benchmark run. The traced
+# run at the pinned seed (--seed 1) checks each workload's PINNED dataset
+# fingerprint, the recrawl and re-render checks, and that the probe's
+# per-layer spans explain Browser::load within the benchmark's tolerance —
+# a boot path the probe does not share with Browser::load fails here.
+# About 18 s for paper-web; heavy-scripts peaks near 0.7 GB.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in paper-web heavy-scripts fabric; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | grep '^# probe:'
+done
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

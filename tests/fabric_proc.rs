@@ -124,6 +124,18 @@ fn spawn_worker_on(
     id: u32,
     max_leases: Option<usize>,
 ) -> std::io::Result<std::process::Child> {
+    worker_command(root, addr, sites, seed, id, max_leases).spawn()
+}
+
+/// The command [`spawn_worker_on`] runs.
+fn worker_command(
+    root: &Path,
+    addr: Option<&str>,
+    sites: usize,
+    seed: u64,
+    id: u32,
+    max_leases: Option<usize>,
+) -> Command {
     let exe = std::env::current_exe().expect("current test binary");
     let mut cmd = Command::new(exe);
     cmd.args(["worker_entry", "--exact", "--nocapture"])
@@ -140,7 +152,7 @@ fn spawn_worker_on(
     if let Some(cap) = max_leases {
         cmd.env("BFU_FABRIC_MAX_LEASES", cap.to_string());
     }
-    cmd.spawn()
+    cmd
 }
 
 /// The worker process body. Under plain `cargo test` (no env) this is an
@@ -178,7 +190,50 @@ fn worker_entry() {
     };
     let exit = run_fabric_worker(&survey, backend, id, &proc_config(), max_leases, 20_000)
         .expect("worker run");
+    // A lingering worker stands in for one that never notices the run is
+    // over: the coordinator side must kill it.
+    if let Ok(ms) = std::env::var("BFU_FABRIC_LINGER_MS") {
+        std::thread::sleep(std::time::Duration::from_millis(
+            ms.parse().expect("linger ms"),
+        ));
+    }
     assert_ne!(exit, WorkerExit::Orphaned, "worker never saw completion");
+}
+
+#[test]
+fn lingering_worker_processes_are_reaped_when_the_run_returns() {
+    const SITES: usize = 4;
+    const SEED: u64 = 223;
+    let survey = survey_for(SITES, SEED);
+    let root = temp_root("linger");
+    let backend = dir_backend(&root);
+    let mut pids = Vec::new();
+    let started = std::time::Instant::now();
+    let outcome = run_survey_fabric_processes(&survey, backend, &proc_config(), &mut |id| {
+        let child = worker_command(&root, None, SITES, SEED, id, None)
+            .env("BFU_FABRIC_LINGER_MS", "600000")
+            .spawn()?;
+        pids.push(child.id());
+        Ok(child)
+    })
+    .expect("cross-process fabric");
+    assert_eq!(outcome.stats.records_absorbed, SITES as u64);
+    assert_eq!(pids.len(), 2);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(120),
+        "the run waited out its lingering workers"
+    );
+    // A reaped child leaves no process-table entry; a running or zombie
+    // one still has its /proc directory.
+    if cfg!(target_os = "linux") {
+        for pid in &pids {
+            assert!(
+                !Path::new(&format!("/proc/{pid}")).exists(),
+                "worker process {pid} outlived the run"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
